@@ -25,7 +25,9 @@ front of the containment policy.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addr import IPAddress
@@ -68,6 +70,10 @@ def _is_response_payload(payload: str) -> bool:
     return payload.startswith(_RESPONSE_PREFIXES)
 
 
+# The three per-worm derivations below are memoized: every infection by a
+# worm recomputes the same SHA-256 digests. The caches hold ints keyed by
+# worm (and page index), so they stay as small as the worm catalog.
+@lru_cache(maxsize=None)
 def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     """Deterministic start page for a worm's resident body.
 
@@ -77,27 +83,32 @@ def _worm_body_region(worm_name: str, page_count: int, body_pages: int) -> int:
     families by page *position* as well as content. The region is kept
     clear of the low pages where the guest's own working set lives.
     """
-    import hashlib
-
     low_reserved = 1024  # base working set + connection region live here
     span = max(page_count - low_reserved - body_pages, 1)
     digest = hashlib.sha256(f"body-region:{worm_name}".encode()).digest()
     return low_reserved + int.from_bytes(digest[:4], "big") % span
 
 
+@lru_cache(maxsize=None)
 def _worm_page_content(worm_name: str, index: int) -> int:
     """Deterministic content tag for page ``index`` of a worm's body.
 
     The same worm writes the same code into every victim, so its body
     pages carry identical content across VMs — the redundancy that
     content-based page sharing (:mod:`repro.analysis.dedup`) measures.
-    Derived via SHA-256 so tags are stable across runs and cannot collide
-    with the allocator's sequential fresh tags (top bit forced set).
+    Derived via SHA-256 so tags are stable across runs; the top bit is
+    forced set, which puts every tag in the pinned range
+    (:data:`~repro.vmm.memory.PINNED_TAG_BASE` and up).
     """
-    import hashlib
-
     digest = hashlib.sha256(f"worm-body:{worm_name}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") | (1 << 63)
+
+
+@lru_cache(maxsize=None)
+def _worm_disk_region(worm_name: str) -> int:
+    """Stable (cross-process) per-worm disk region index in [0, 1000)."""
+    digest = hashlib.sha256(f"disk:{worm_name}".encode()).digest()
+    return int.from_bytes(digest[:4], "big") % 1000
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,8 @@ class GuestHost:
     on_oom:
         Optional callback invoked when dirtying a page hits host memory
         exhaustion; it should free memory (evict VMs) and return True to
-        retry. Without one, :class:`OutOfMemoryError` propagates.
+        retry. Without one, or when it returns False, the write is
+        dropped and counted in ``dropped_page_writes``.
     """
 
     def __init__(
@@ -269,21 +281,29 @@ class GuestHost:
                 return False
         return True
 
-    def _dirty_pages(self, count: int, content_for=None) -> None:
+    def _dirty_pages(self, count: int) -> None:
         """Dirty ``count`` distinct fresh pages (sequential cursor).
 
-        Used for one-time footprint growth — the base working set and the
-        worm body — where sequential selection makes private-page counts
-        exact: N requested writes dirty exactly min(N, image size) pages.
-        ``content_for(i)`` optionally pins the i-th page's content tag
-        (worm bodies are identical across victims).
+        Used for one-time footprint growth — the base working set — where
+        sequential selection makes private-page counts exact: N requested
+        writes dirty exactly min(N, image size) pages. Pages go in runs
+        (:meth:`GuestAddressSpace.write_run`); a page the run stops at
+        (already private, or no free frame) goes through
+        :meth:`_write_page`, so OOM handling matches a page-by-page loop.
         """
-        total = self.vm.address_space.page_count
-        for i in range(count):
+        space = self.vm.address_space
+        total = space.page_count
+        while count > 0:
             page = self._page_cursor % total
+            done = space.write_run(page, min(count, total - page))
+            if done:
+                self._page_cursor += done
+                count -= done
+                continue
+            # The run stopped at its first page: write that one alone.
             self._page_cursor += 1
-            content = content_for(i) if content_for is not None else None
-            if not self._write_page(page, content):
+            count -= 1
+            if not self._write_page(page):
                 return
 
     def _write_worm_body(self, worm_name: str, body_pages: int) -> None:
@@ -314,15 +334,9 @@ class GuestHost:
         count = self.personality.infection_disk_blocks
         if count == 0 or self.vm.disk.detached:
             return
-        import hashlib
-
         total = self.vm.disk.image.block_count
-        cap = self.personality.disk_working_set_cap_blocks
-        # Stable (cross-process) per-worm region, clear of the log area.
-        region = int.from_bytes(
-            hashlib.sha256(f"disk:{worm_name}".encode()).digest()[:4], "big"
-        ) % 1000
-        base = cap + region * 256
+        # Per-worm region, clear of the log area.
+        base = self.personality.disk_working_set_cap_blocks + _worm_disk_region(worm_name) * 256
         for i in range(count):
             self.vm.disk.write((base + i) % total)
 

@@ -32,24 +32,38 @@ worm body.
 
 When sharing is enabled (the default; ``content_sharing=False`` is the
 ablation), each :class:`MachineMemory` owns a :class:`SharedFrameStore`
-— a content tag → refcounted frame table. A dirty write interns its tag:
-the first writer of a tag pays one physical frame, every later writer of
-the same tag (any VM on the host) shares it at zero frame cost, and the
-frame returns to the pool only when its last reference is rewritten or
-destroyed. Every operation is O(1), so the host's physical usage
+— a content tag → refcounted frame table. A dirty write of *pinned*
+content interns its tag: the first writer of a tag pays one physical
+frame, every later writer of the same tag (any VM on the host) shares it
+at zero frame cost, and the frame returns to the pool only when its last
+reference is rewritten or destroyed. Every operation is O(1), so the
+host's physical usage
 
     resident = image frames + distinct private contents
 
 stays an exact, cheaply-queryable quantity rather than a scanner result.
+
+Fresh and pinned content
+------------------------
+Tags live in two disjoint ranges. *Fresh* tags (``write(page)``) come
+from a global counter that starts at 1 and stays below
+:data:`PINNED_TAG_BASE`; a fresh tag is globally unique, so its frame can
+never be shared. *Pinned* tags (``write(page, content=tag)``) must be at
+least :data:`PINNED_TAG_BASE`; equal pinned tags mean equal bytes. The
+store therefore keeps table entries only for pinned content and counts
+fresh-content frames in a plain ``unique_frames`` tally, and a run of
+fresh first-touch pages (:meth:`GuestAddressSpace.write_run`) costs one
+allocation and one overlay update however long it is.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 __all__ = [
     "PAGE_SIZE",
+    "PINNED_TAG_BASE",
     "OutOfMemoryError",
     "MachineMemory",
     "SharedFrameStore",
@@ -59,6 +73,11 @@ __all__ = [
 
 PAGE_SIZE = 4096
 """Bytes per page; delta virtualization operates at this granularity."""
+
+PINNED_TAG_BASE = 1 << 39
+"""Smallest pinned content tag. Fresh tags count up from 1 and stay below
+it (5.5e11 fresh pages is beyond any simulation), so a pinned tag can
+never name a fresh page's bytes."""
 
 _content_versions = itertools.count(1)
 
@@ -72,8 +91,9 @@ class OutOfMemoryError(Exception):
 
 
 class _SharedEntry:
-    """One physical frame in the shared store: its reference count and,
-    per holding address space, how many of that space's pages map it."""
+    """One physical frame of pinned content in the shared store: its
+    reference count and, per holding address space, how many of that
+    space's pages map it."""
 
     __slots__ = ("refs", "holders")
 
@@ -85,30 +105,37 @@ class _SharedEntry:
 class SharedFrameStore:
     """Content tag → refcounted physical frame (transparent page sharing).
 
-    One store per :class:`MachineMemory`; all overlay writes on the host
-    go through it. Interning a tag either allocates a fresh frame (first
-    sight of that content) or bumps the refcount of the existing frame
-    (a *hit* — the sharing win). Releasing drops the refcount and frees
-    the frame when it reaches zero.
+    One store per :class:`MachineMemory`; every private frame on the host
+    is accounted here. Pinned content (tags at or above
+    :data:`PINNED_TAG_BASE`) lives in the entry table: interning a tag
+    either allocates a frame (first sight of that content) or bumps the
+    refcount of the existing frame (a *hit* — the sharing win), and
+    releasing drops the refcount and frees the frame when it reaches
+    zero. Fresh content can never be shared, so its frames get no entry:
+    they are counted in ``unique_frames``, each one reference held by
+    exactly one page.
 
     Invariants (checked by :meth:`audit` and the hypothesis ledger test):
 
-    * ``total_refs`` == Σ over live address spaces of their overlay size;
-    * ``distinct_frames`` == physical frames the store holds
-      == the owning memory's ``private_frames``;
+    * ``total_refs`` == Σ over live address spaces of their overlay size
+      == Σ entry refs + ``unique_frames``;
+    * ``distinct_frames`` == entries + ``unique_frames`` == physical
+      frames the store holds == the owning memory's ``private_frames``;
     * ``shared_frames`` == entries with ``refs >= 2``;
     * ``savings_frames`` == ``total_refs - distinct_frames`` — frames a
       sharing-off host would additionally need for the same contents.
 
     Every mutation also maintains each holder's ``_exclusive_frames``
-    (frames only that space references), which is what makes reclamation
-    projection O(1): destroying a VM returns exactly its exclusive
-    frames, because shared frames outlive it.
+    (frames only that space references, unique frames included), which
+    is what makes reclamation projection O(1): destroying a VM returns
+    exactly its exclusive frames, because shared frames outlive it.
     """
 
     def __init__(self, memory: "MachineMemory") -> None:
         self.memory = memory
         self._entries: Dict[int, _SharedEntry] = {}
+        self._spaces: Set["GuestAddressSpace"] = set()  # live spaces, for audit
+        self.unique_frames = 0     # fresh-content frames: one page each, no entry
         self.total_refs = 0
         self.shared_frames = 0     # entries currently referenced >= 2 times
         self.attach_hits = 0       # interns that matched an existing frame
@@ -121,24 +148,43 @@ class SharedFrameStore:
     @property
     def distinct_frames(self) -> int:
         """Physical frames currently backing the store."""
-        return len(self._entries)
+        return len(self._entries) + self.unique_frames
 
     @property
     def savings_frames(self) -> int:
         """Frames avoided versus a no-sharing host with the same contents."""
-        return self.total_refs - len(self._entries)
+        return self.total_refs - self.distinct_frames
 
     def refs_of(self, tag: int) -> int:
-        """Current reference count of ``tag`` (0 if not resident)."""
+        """Current reference count of pinned ``tag`` (0 if not resident)."""
         entry = self._entries.get(tag)
         return entry.refs if entry is not None else 0
 
     # ------------------------------------------------------------------ #
-    # Mutation — all O(1)
+    # Mutation — O(1) per page; a run of fresh pages is one allocation
     # ------------------------------------------------------------------ #
 
+    def add_unique(self, space: "GuestAddressSpace", frames: int) -> None:
+        """Back ``frames`` fresh-content pages of ``space`` with frames of
+        their own, in one allocation.
+
+        Raises :class:`OutOfMemoryError` (with no state change) when the
+        pool cannot hold them all.
+        """
+        self.memory._allocate_private(frames)  # may raise; nothing mutated yet
+        self.unique_frames += frames
+        self.total_refs += frames
+        space._exclusive_frames += frames
+
+    def drop_unique(self, space: "GuestAddressSpace", frames: int) -> None:
+        """Free ``frames`` of ``space``'s fresh-content frames."""
+        self.memory._free_private(frames)
+        self.unique_frames -= frames
+        self.total_refs -= frames
+        space._exclusive_frames -= frames
+
     def intern(self, space: "GuestAddressSpace", tag: int) -> None:
-        """Map one page of ``space`` to the frame holding ``tag``,
+        """Map one page of ``space`` to the frame holding pinned ``tag``,
         allocating the frame if this content is new to the host.
 
         Raises :class:`OutOfMemoryError` (with no state change) when a
@@ -163,8 +209,8 @@ class SharedFrameStore:
         self.total_refs += 1
 
     def release(self, space: "GuestAddressSpace", tag: int) -> None:
-        """Drop one of ``space``'s references to ``tag``, freeing the
-        frame when the last reference anywhere goes."""
+        """Drop one of ``space``'s references to pinned ``tag``, freeing
+        the frame when the last reference anywhere goes."""
         entry = self._entries[tag]
         holders = entry.holders
         count = holders[space]
@@ -190,33 +236,62 @@ class SharedFrameStore:
 
         The common case — a sole owner dirtying to content nobody else
         holds — reuses the existing frame in place: no allocator
-        round-trip and no transient over-allocation. Otherwise the new
-        tag is interned *first* (so an OOM leaves the page intact) and
-        the old reference released after.
+        round-trip and no transient over-allocation. A fresh-content
+        frame always has a sole owner. Otherwise the new content is
+        mapped *first* (so an OOM leaves the page intact) and the old
+        reference released after.
         """
         if old_tag == new_tag:
             return
-        old_entry = self._entries[old_tag]
-        if old_entry.refs == 1 and new_tag not in self._entries:
-            del self._entries[old_tag]
-            self._entries[new_tag] = old_entry
+        entries = self._entries
+        old_unique = old_tag < PINNED_TAG_BASE
+        new_unique = new_tag < PINNED_TAG_BASE
+        sole_owner = old_unique or entries[old_tag].refs == 1
+        if sole_owner and (new_unique or new_tag not in entries):
+            # Recycle the frame in place; only pinned content has an
+            # entry to carry over.
+            entry = None if old_unique else entries.pop(old_tag)
+            if not new_unique:
+                if entry is None:
+                    entry = _SharedEntry()
+                    entry.refs = 1
+                    entry.holders[space] = 1
+                entries[new_tag] = entry
+            self.unique_frames += new_unique - old_unique
             self.frames_recycled += 1
             return
-        self.intern(space, new_tag)  # may raise; old mapping still intact
-        self.release(space, old_tag)
+        # Map the new content first: may raise, old mapping still intact.
+        if new_unique:
+            self.add_unique(space, 1)
+        else:
+            self.intern(space, new_tag)
+        if old_unique:
+            self.drop_unique(space, 1)
+        else:
+            self.release(space, old_tag)
 
     # ------------------------------------------------------------------ #
     # Verification (tests and the sweep's ledger check)
     # ------------------------------------------------------------------ #
 
     def audit(self) -> None:
-        """Recount every counter from the raw entries; raise
-        :class:`AssertionError` on any drift. O(entries) — for tests and
-        debugging, not the hot path."""
-        refs = sum(e.refs for e in self._entries.values())
-        if refs != self.total_refs:
+        """Recount every counter from the raw entries and the live
+        spaces' overlays; raise :class:`AssertionError` on any drift.
+        O(entries + pages) — for tests and debugging, not the hot path."""
+        exclusive: Dict["GuestAddressSpace", int] = {
+            space: sum(1 for tag in space._overlay.values() if tag < PINNED_TAG_BASE)
+            for space in self._spaces
+        }
+        unique = sum(exclusive.values())
+        if unique != self.unique_frames:
             raise AssertionError(
-                f"shared store drift: total_refs={self.total_refs} but entries sum to {refs}"
+                f"shared store drift: unique_frames={self.unique_frames}, recount {unique}"
+            )
+        refs = sum(e.refs for e in self._entries.values())
+        if refs + unique != self.total_refs:
+            raise AssertionError(
+                f"shared store drift: total_refs={self.total_refs} but entries"
+                f" sum to {refs} plus {unique} unique frames"
             )
         shared = sum(1 for e in self._entries.values() if e.refs >= 2)
         if shared != self.shared_frames:
@@ -224,12 +299,12 @@ class SharedFrameStore:
                 f"shared store drift: shared_frames={self.shared_frames}, recount {shared}"
             )
         for tag, entry in self._entries.items():
+            if tag < PINNED_TAG_BASE:
+                raise AssertionError(f"entry {tag}: fresh-range tag in the entry table")
             if entry.refs != sum(entry.holders.values()):
                 raise AssertionError(f"entry {tag}: refs disagree with holder multiset")
             if entry.refs <= 0:
                 raise AssertionError(f"entry {tag}: resident with refs={entry.refs}")
-        exclusive: Dict["GuestAddressSpace", int] = {}
-        for entry in self._entries.values():
             if len(entry.holders) == 1:
                 holder = next(iter(entry.holders))
                 exclusive[holder] = exclusive.get(holder, 0) + 1
@@ -243,8 +318,8 @@ class SharedFrameStore:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SharedFrameStore frames={self.distinct_frames}"
-            f" refs={self.total_refs} shared={self.shared_frames}"
-            f" saved={self.savings_frames}>"
+            f" unique={self.unique_frames} refs={self.total_refs}"
+            f" shared={self.shared_frames} saved={self.savings_frames}>"
         )
 
 
@@ -449,9 +524,9 @@ class GuestAddressSpace:
       baseline**: every page is copied (and charged) up front, as a
       conventional clone would.
 
-    When the host memory has content sharing enabled, every overlay
-    write routes through its :class:`SharedFrameStore`, so identical
-    contents across (or within) VMs cost one frame.
+    When the host memory has content sharing enabled, the frames behind
+    the overlay are accounted in its :class:`SharedFrameStore`, so
+    identical pinned contents across (or within) VMs cost one frame.
     """
 
     def __init__(self, image: ReferenceImage, eager_copy: bool = False) -> None:
@@ -462,28 +537,22 @@ class GuestAddressSpace:
         self.eager_copy = eager_copy
         self._overlay: Dict[int, int] = {}
         self.cow_faults = 0
-        # Frames only this space references; maintained by the store.
-        # Equals len(_overlay) when sharing is off.
+        # Frames only this space references; maintained by the store
+        # (unused when sharing is off: every overlay page is then exclusive).
         self._exclusive_frames = 0
         self.destroyed = False
         if eager_copy:
+            # The whole image as one fresh run: charged in a single
+            # allocation, so an OOM leaves nothing to roll back.
+            pages = image.page_count
             try:
-                if self._store is not None:
-                    for page in range(image.page_count):
-                        tag = next(_content_versions)
-                        self._store.intern(self, tag)
-                        self._overlay[page] = tag
-                else:
-                    self.memory._allocate_private(image.page_count)
-                    for page in range(image.page_count):
-                        self._overlay[page] = next(_content_versions)
+                self._add_unshared_frames(pages)
             except OutOfMemoryError:
-                # Roll back the partial copy; the caller sees a clean failure.
-                for tag in self._overlay.values():
-                    self._store.release(self, tag)
-                self._overlay.clear()
                 image.detach()
                 raise
+            self._overlay.update(zip(range(pages), itertools.islice(_content_versions, pages)))
+        if self._store is not None:
+            self._store._spaces.add(self)
 
     # ------------------------------------------------------------------ #
     # Access
@@ -510,23 +579,71 @@ class GuestAddressSpace:
         use this — the same worm writes the same code everywhere — which
         is exactly what the shared-frame store collapses: with sharing
         on, only the first write of a tag on the host pays a frame.
-        ``None`` means freshly generated, globally unique content.
+        Pinned tags must be at least :data:`PINNED_TAG_BASE`
+        (:class:`ValueError` otherwise). ``None`` means freshly
+        generated, globally unique content.
         """
         self._check_alive()
         self.image._check_page(page)
-        tag = next(_content_versions) if content is None else content
-        store = self._store
-        if page in self._overlay:
-            if store is not None:
-                store.exchange(self, self._overlay[page], tag)
+        if content is None:
+            tag = next(_content_versions)
+        elif content >= PINNED_TAG_BASE:
+            tag = content
         else:
+            raise ValueError(
+                f"pinned content tag {content!r} is below PINNED_TAG_BASE"
+                f" ({PINNED_TAG_BASE}), the range of fresh tags"
+            )
+        store = self._store
+        old = self._overlay.get(page)
+        if old is not None:
             if store is not None:
-                store.intern(self, tag)
+                store.exchange(self, old, tag)
+        else:
+            if content is None or store is None:
+                self._add_unshared_frames(1)
             else:
-                self.memory._allocate_private(1)
+                store.intern(self, tag)
             self.cow_faults += 1
         self._overlay[page] = tag
         return tag
+
+    def write_run(self, first: int, count: int) -> int:
+        """Dirty pages ``first .. first+count-1`` with fresh content, in
+        order, and return how many leading pages were written.
+
+        The written pages end up exactly as ``write(page)`` one by one
+        would leave them (same tags, faults and frames), at the cost of
+        one allocation. The run stops short, raising nothing and leaving
+        the allocator untouched, at the first page that is already
+        private or that the pool has no frame for: the caller writes
+        that page with :meth:`write`, which rewrites it or raises
+        :class:`OutOfMemoryError` just as the page-by-page loop would.
+        """
+        self._check_alive()
+        if count <= 0:
+            return 0
+        self.image._check_page(first)
+        self.image._check_page(first + count - 1)
+        overlay = self._overlay
+        pages = range(first, first + count)
+        if not overlay.keys().isdisjoint(pages):
+            count = next(i for i, page in enumerate(pages) if page in overlay)
+        count = min(count, self.memory.free_frames)
+        if count > 0:
+            self._add_unshared_frames(count)
+            overlay.update(zip(pages, itertools.islice(_content_versions, count)))
+            self.cow_faults += count
+        return count
+
+    def _add_unshared_frames(self, frames: int) -> None:
+        """Charge ``frames`` first-touch pages that share no frame (fresh
+        content, or any content with sharing off) in one allocation;
+        raises :class:`OutOfMemoryError` with nothing changed."""
+        if self._store is not None:
+            self._store.add_unique(self, frames)
+        else:
+            self.memory._allocate_private(frames)
 
     def private_page_contents(self) -> Iterator[Tuple[int, int]]:
         """Iterate (page number, content tag) over the private overlay."""
@@ -588,8 +705,11 @@ class GuestAddressSpace:
         store = self._store
         if store is not None:
             before = self.memory.allocated_frames
-            for tag in self._overlay.values():
+            pinned = [tag for tag in self._overlay.values() if tag >= PINNED_TAG_BASE]
+            for tag in pinned:
                 store.release(self, tag)
+            store.drop_unique(self, len(self._overlay) - len(pinned))
+            store._spaces.discard(self)
             freed = before - self.memory.allocated_frames
         else:
             freed = len(self._overlay)

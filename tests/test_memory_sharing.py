@@ -4,15 +4,24 @@ Covers the mechanism at three levels:
 
 * unit tests on :class:`~repro.vmm.memory.SharedFrameStore` refcounting
   (intern / release / exchange, frame recycling, OOM ordering safety,
-  exclusive-frame maintenance);
-* a hypothesis property: random interleavings of clone / write (fresh
-  and repeated tags) / destroy / image release conserve the frame ledger
+  exclusive-frame maintenance, unique fresh-content frames, the
+  disjoint fresh/pinned tag ranges);
+* a hypothesis property: random interleavings of clone / write (fresh,
+  unique pinned and repeated pinned tags) / fresh page runs / destroy /
+  image release conserve the frame ledger
   ``allocated == image frames + distinct private frames`` in both
-  sharing modes, with identical guest-visible reads;
+  sharing modes, with identical guest-visible reads, and a run writes
+  exactly what the page-by-page loop writes;
+* guest-level parity: a page run that hits OOM part-way ends in the
+  same state as the page-by-page loop, with and without a pressure
+  handler;
 * farm-level ablation: the same fixed-seed worm storm with sharing on
   must behave identically at the guest level while hitting memory
   pressure strictly later (fewer pressure events, lower peak residency).
 """
+
+import itertools
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -22,20 +31,40 @@ from repro.core.config import HoneyfarmConfig
 from repro.core.honeyfarm import Honeyfarm
 from repro.net.addr import IPAddress
 from repro.net.packet import udp_packet
+from repro.services.guest import GuestHost
+from repro.services.personality import default_registry
+from repro.sim.engine import Simulator
+from repro.sim.rand import RandomStream
+from repro.vmm import memory as memory_module
 from repro.vmm.memory import (
     PAGE_SIZE,
+    PINNED_TAG_BASE,
     GuestAddressSpace,
     MachineMemory,
     OutOfMemoryError,
     ReferenceImage,
 )
+from repro.vmm.snapshot import ReferenceSnapshot
+from repro.vmm.vm import VirtualMachine
 
 ATTACKER = IPAddress.parse("203.0.113.44")
 
-# Pinned content tags far above anything the fresh-tag counter reaches.
+# Pinned content tags: at or above PINNED_TAG_BASE, so never fresh.
 TAG_A = 10**15 + 1
 TAG_B = 10**15 + 2
 TAG_C = 10**15 + 3
+
+
+@contextmanager
+def fresh_tags_from(start):
+    """Draw fresh content tags from ``start`` inside the block, so two
+    worlds replaying the same writes see the same tags."""
+    saved = memory_module._content_versions
+    memory_module._content_versions = itertools.count(start)
+    try:
+        yield
+    finally:
+        memory_module._content_versions = saved
 
 
 @pytest.fixture
@@ -189,6 +218,55 @@ class TestSharedFrameStore:
         assert a.reclaimable_frames == 1
         memory.check_frame_invariant()
 
+    def test_fresh_writes_take_unique_frames_not_entries(self, memory, image):
+        a = GuestAddressSpace(image)
+        base = memory.allocated_frames
+        a.write(0)
+        assert a.write_run(1, 5) == 5
+        store = memory.sharing
+        assert store.unique_frames == 6
+        assert store._entries == {}
+        assert store.distinct_frames == 6
+        assert store.total_refs == 6
+        assert memory.allocated_frames == base + 6
+        assert a.reclaimable_frames == 6
+        assert a.cow_faults == 6
+        store.audit()
+        assert a.destroy() == 6
+        assert store.unique_frames == 0
+        memory.check_frame_invariant()
+
+    def test_rewrites_move_frames_between_unique_and_pinned(self, memory, image):
+        a = GuestAddressSpace(image)
+        b = GuestAddressSpace(image)
+        store = memory.sharing
+        a.write(0)
+        a.write(0)  # fresh -> fresh: recycled in place
+        a.write(0, content=TAG_A)  # fresh -> unseen pinned: recycled, now an entry
+        assert store.frames_recycled == 2
+        assert (store.unique_frames, len(store._entries)) == (0, 1)
+        a.write(0)  # sole-owner pinned -> fresh: back to a unique frame
+        assert (store.unique_frames, len(store._entries)) == (1, 0)
+        b.write(0, content=TAG_B)
+        a.write(0, content=TAG_B)  # fresh -> shared pinned: frees a's frame
+        assert (store.unique_frames, len(store._entries)) == (0, 1)
+        assert memory.shared_frames == 1
+        a.write(0)  # shared pinned -> fresh: needs a new frame
+        assert (store.unique_frames, store.refs_of(TAG_B)) == (1, 1)
+        assert a.reclaimable_frames == b.reclaimable_frames == 1
+        store.audit()
+        memory.check_frame_invariant()
+
+    def test_eager_copy_takes_one_run_of_unique_frames(self, memory, image):
+        base_failures = memory.allocation_failures
+        a = GuestAddressSpace(image, eager_copy=True)
+        assert memory.sharing.unique_frames == image.page_count
+        assert memory.sharing._entries == {}
+        assert a.cow_faults == 0
+        assert len({a.read(page) for page in range(image.page_count)}) == image.page_count
+        assert memory.allocation_failures == base_failures
+        memory.sharing.audit()
+
     def test_invariant_catches_ledger_drift(self, memory, image):
         a = GuestAddressSpace(image)
         a.write(0, content=TAG_A)
@@ -198,6 +276,41 @@ class TestSharedFrameStore:
             memory.check_frame_invariant()
 
 
+class TestTagNamespaces:
+    """Fresh and pinned tags are disjoint ranges: a pinned write can
+    never alias a fresh page's frame."""
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_pinned_write_of_a_fresh_range_tag_is_rejected(self, sharing):
+        memory = MachineMemory(64 * (1 << 20), content_sharing=sharing)
+        image = ReferenceImage(memory, page_count=64)
+        a = GuestAddressSpace(image)
+        b = GuestAddressSpace(image)
+        fresh = a.write(0)
+        assert 0 < fresh < PINNED_TAG_BASE
+        allocated = memory.allocated_frames
+        # Before the ranges were disjoint, this write silently shared
+        # a's frame although the two pages never held the same bytes.
+        for tag in (fresh, 0, PINNED_TAG_BASE - 1, -1):
+            with pytest.raises(ValueError):
+                b.write(1, content=tag)
+            with pytest.raises(ValueError):
+                a.write(0, content=tag)
+        assert not b.is_private(1)
+        assert a.read(0) == fresh
+        assert memory.allocated_frames == allocated
+        assert b.cow_faults == 0
+        memory.check_frame_invariant()
+        b.write(1, content=PINNED_TAG_BASE)  # the lowest pinned tag is fine
+        assert b.read(1) == PINNED_TAG_BASE
+
+    def test_worm_body_tags_are_pinned(self):
+        from repro.services.guest import _worm_page_content
+
+        assert _worm_page_content("slammer", 0) >= PINNED_TAG_BASE
+        assert _worm_page_content("codered", 7) >= PINNED_TAG_BASE
+
+
 # ---------------------------------------------------------------------- #
 # Hypothesis: the frame ledger under random interleavings
 # ---------------------------------------------------------------------- #
@@ -205,8 +318,10 @@ class TestSharedFrameStore:
 PAGES = 16
 MAX_SPACES = 6
 
-# A small pool of repeatable tags (collisions likely) plus per-op unique
-# tags; explicit in both worlds so sharing on/off see identical writes.
+# A small pool of repeatable pinned tags (collisions likely), per-op
+# unique pinned tags, and fresh content (``None``). Fresh tags come from
+# the same start in both worlds (``fresh_tags_from``), so sharing on/off
+# see identical writes.
 repeat_tags = st.integers(min_value=0, max_value=4).map(lambda k: 10**12 + k)
 
 
@@ -215,17 +330,23 @@ def op_sequences(draw):
     ops = []
     n = draw(st.integers(min_value=1, max_value=40))
     for index in range(n):
-        kind = draw(st.sampled_from(["clone", "write", "write", "write", "destroy"]))
+        kind = draw(st.sampled_from(["clone", "write", "write", "write", "run", "destroy"]))
+        idx = draw(st.integers(min_value=0, max_value=MAX_SPACES - 1))
         if kind == "clone":
             ops.append(("clone",))
         elif kind == "destroy":
-            ops.append(("destroy", draw(st.integers(min_value=0, max_value=MAX_SPACES - 1))))
+            ops.append(("destroy", idx))
+        elif kind == "run":
+            first = draw(st.integers(min_value=0, max_value=PAGES - 1))
+            count = draw(st.integers(min_value=1, max_value=PAGES - first))
+            ops.append(("run", idx, first, count))
         else:
-            fresh = draw(st.booleans())
-            tag = 10**13 + index if fresh else draw(repeat_tags)
+            tag = draw(st.one_of(
+                st.none(), st.just(10**13 + index), repeat_tags,
+            ))
             ops.append((
                 "write",
-                draw(st.integers(min_value=0, max_value=MAX_SPACES - 1)),
+                idx,
                 draw(st.integers(min_value=0, max_value=PAGES - 1)),
                 tag,
             ))
@@ -233,12 +354,19 @@ def op_sequences(draw):
 
 
 class _World:
-    """One (memory, image, spaces) universe to replay an op sequence in."""
+    """One (memory, image, spaces) universe to replay an op sequence in.
 
-    def __init__(self, content_sharing: bool) -> None:
+    With ``page_by_page`` a fresh run is replayed as single writes up to
+    the first already-private page, which is what ``write_run`` promises
+    to be equivalent to; ``last_run`` records how many pages it wrote.
+    """
+
+    def __init__(self, content_sharing: bool, page_by_page: bool = False) -> None:
         self.memory = MachineMemory(4 * (1 << 20), content_sharing=content_sharing)
         self.image = ReferenceImage(self.memory, page_count=PAGES)
         self.spaces = {}
+        self.page_by_page = page_by_page
+        self.last_run = None
 
     def apply(self, op) -> None:
         if op[0] == "clone":
@@ -251,6 +379,22 @@ class _World:
             space = self.spaces.pop(op[1], None)
             if space is not None:
                 space.destroy()
+        elif op[0] == "run":
+            _, idx, first, count = op
+            space = self.spaces.get(idx)
+            self.last_run = None
+            if space is None:
+                return
+            if not self.page_by_page:
+                self.last_run = space.write_run(first, count)
+                return
+            written = 0
+            for page in range(first, first + count):
+                if space.is_private(page):
+                    break
+                space.write(page)
+                written += 1
+            self.last_run = written
         else:
             _, idx, page, tag = op
             space = self.spaces.get(idx)
@@ -289,10 +433,15 @@ class TestFrameLedgerProperty:
     @settings(max_examples=120, deadline=None)
     def test_ledger_conserved_and_reads_identical(self, ops):
         shared_world = _World(content_sharing=True)
-        private_world = _World(content_sharing=False)
-        for op in ops:
-            shared_world.apply(op)
-            private_world.apply(op)
+        private_world = _World(content_sharing=False, page_by_page=True)
+        for index, op in enumerate(ops):
+            # Each op draws its fresh tags from its own block, the same
+            # block in both worlds.
+            with fresh_tags_from(1 + index * (PAGES + 1)):
+                shared_world.apply(op)
+            with fresh_tags_from(1 + index * (PAGES + 1)):
+                private_world.apply(op)
+            assert shared_world.last_run == private_world.last_run
             shared_world.check_ledger()
             private_world.check_ledger()
             # Sharing never changes what guests observe. (The two worlds'
@@ -303,6 +452,7 @@ class TestFrameLedgerProperty:
             assert set(shared_world.spaces) == set(private_world.spaces)
             for key, space in shared_world.spaces.items():
                 other = private_world.spaces[key]
+                assert space.cow_faults == other.cow_faults
                 for page in range(PAGES):
                     assert space.is_private(page) == other.is_private(page)
                     if space.is_private(page):
@@ -419,3 +569,98 @@ class TestSharingAblation:
             off.metrics.counters().get("farm.sweep_reclaims", 0)
         assert on_evictions <= off_evictions
         on.hosts[0].memory.check_frame_invariant()
+
+
+# ---------------------------------------------------------------------- #
+# Guest-level parity: a page run that hits OOM part-way
+# ---------------------------------------------------------------------- #
+
+IMAGE_PAGES = 64
+FILLER_PAGES = 8
+FREE_AT_START = 5
+
+
+def _dirty_page_by_page(guest, count):
+    """The reference: the guest's page-by-page dirtying loop."""
+    total = guest.vm.address_space.page_count
+    for __ in range(count):
+        page = guest._page_cursor % total
+        guest._page_cursor += 1
+        if not guest._write_page(page):
+            return
+
+
+def _oom_world(content_sharing, handler, pre_private):
+    """A guest whose pool has FREE_AT_START frames left; another space
+    holds FILLER_PAGES frames that a pressure handler can reclaim."""
+    memory = MachineMemory(
+        (IMAGE_PAGES + FILLER_PAGES + FREE_AT_START + len(pre_private)) * PAGE_SIZE,
+        content_sharing=content_sharing,
+    )
+    snapshot = ReferenceSnapshot(memory, image_bytes=IMAGE_PAGES * PAGE_SIZE, disk_blocks=64)
+    filler = GuestAddressSpace(snapshot.image)
+    filler.write_run(0, FILLER_PAGES)
+    vm = VirtualMachine(snapshot, GuestAddressSpace(snapshot.image), ATTACKER, 0.0)
+    vm.start(now=0.0)
+    for page in pre_private:
+        vm.address_space.write(page)
+    handler_calls = []
+
+    def on_oom():
+        handler_calls.append(memory.allocated_frames)
+        if handler == "reclaim" and not filler.destroyed:
+            filler.destroy()
+            return True
+        return False
+
+    registry = default_registry()
+    guest = GuestHost(
+        vm=vm,
+        personality=registry.get("windows-default"),
+        catalog=registry.catalog,
+        sim=Simulator(),
+        rng=RandomStream(1),
+        on_oom=None if handler == "none" else on_oom,
+    )
+    return guest, memory, handler_calls
+
+
+def _guest_state(guest, memory, handler_calls):
+    space = guest.vm.address_space
+    return {
+        "overlay": dict(space.private_page_contents()),
+        "cursor": guest._page_cursor,
+        "dropped": guest.dropped_page_writes,
+        "allocation_failures": memory.allocation_failures,
+        "cow_faults": space.cow_faults,
+        "peak": memory.peak_allocated_frames,
+        "allocated": memory.allocated_frames,
+        "handler_calls": handler_calls,
+    }
+
+
+class TestRunOomParity:
+    @pytest.mark.parametrize("content_sharing", [True, False])
+    @pytest.mark.parametrize("handler", ["reclaim", "refuse", "none"])
+    @pytest.mark.parametrize("pre_private", [(), (2, 9)], ids=["clean", "pre-private"])
+    @pytest.mark.parametrize("count", [20, IMAGE_PAGES + 6], ids=["short", "wraps"])
+    def test_run_matches_page_by_page(self, content_sharing, handler, pre_private, count):
+        states = []
+        for dirty in (GuestHost._dirty_pages, _dirty_page_by_page):
+            with fresh_tags_from(1):
+                guest, memory, calls = _oom_world(content_sharing, handler, pre_private)
+                dirty(guest, count)
+            states.append(_guest_state(guest, memory, calls))
+            memory.check_frame_invariant()
+            if memory.sharing is not None:
+                memory.sharing.audit()
+        run_state, reference = states
+        assert run_state == reference
+        # The scenario does hit OOM part-way (at page FREE_AT_START).
+        assert reference["allocation_failures"] >= 1
+        assert reference["handler_calls"] or handler == "none"
+        # Exactly one write is dropped: with "reclaim" the second OOM
+        # finds nothing left to reclaim.
+        assert reference["dropped"] == 1
+        reclaimed = FILLER_PAGES if handler == "reclaim" else 0
+        assert len(reference["overlay"]) == FREE_AT_START + reclaimed + len(pre_private)
