@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.net.addr import AddressSpaceInventory, IPAddress
 from repro.net.packet import PROTO_UDP, Packet
@@ -134,10 +134,10 @@ class ReflectionPolicy(ContainmentPolicy):
         if _is_dns_query(packet):
             return Verdict(ContainmentAction.REDIRECT_DNS, reason="dns redirected")
         internal = self._reflect_target(vm.ip, packet.dst)
+        # A constant reason: formatting the target per packet cost more
+        # than the rest of the verdict, and the new destination says it.
         return Verdict(
-            ContainmentAction.REFLECT,
-            new_destination=internal,
-            reason=f"scan to {packet.dst} reflected",
+            ContainmentAction.REFLECT, new_destination=internal, reason="scan reflected"
         )
 
     def _reflect_target(self, vm_ip: IPAddress, original: IPAddress) -> IPAddress:
@@ -220,63 +220,94 @@ class ReflectionNat:
     """
 
     def __init__(self) -> None:
-        self._map: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
-        self._reverse: Dict[Tuple[IPAddress, IPAddress], IPAddress] = {}
+        # Keyed on raw address values: an ``(int, int)`` tuple hashes and
+        # compares in C, a tuple of IPAddress calls back into Python.
+        self._map: Dict[Tuple[int, int], IPAddress] = {}      # (v, Y) -> X
+        self._reverse: Dict[Tuple[int, int], IPAddress] = {}  # (v, X) -> Y
+        # Address value -> the keys of entries it takes part in, as the
+        # scanning VM or as the stand-in, so forget_vm touches only those.
+        self._map_keys: Dict[int, Set[Tuple[int, int]]] = {}
+        self._reverse_keys: Dict[int, Set[Tuple[int, int]]] = {}
         self.translations = 0
         self.outbound_translations = 0
 
     def record(self, vm_ip: IPAddress, internal: IPAddress, original: IPAddress) -> None:
-        self._map[(vm_ip, internal)] = original
-        self._reverse[(vm_ip, original)] = internal
+        vm, stand_in = vm_ip.value, internal.value
+        key = (vm, stand_in)
+        if key not in self._map:
+            _index(self._map_keys, key, vm, stand_in)
+        self._map[key] = original
+        key = (vm, original.value)
+        previous = self._reverse.get(key)
+        if previous != internal:
+            if previous is not None:
+                self._drop_reverse(key)
+            _index(self._reverse_keys, key, vm, stand_in)
+        self._reverse[key] = internal
+
+    def stand_in_for(self, packet: Packet) -> Optional[IPAddress]:
+        """The internal stand-in ``packet`` (infected VM -> the external
+        address it was told it reached) must be re-addressed to, or None
+        when no reflection entry applies."""
+        internal = self._reverse.get((packet.src.value, packet.dst.value))
+        if internal is not None:
+            self.outbound_translations += 1
+        return internal
+
+    def origin_of(self, reply: Packet) -> Optional[IPAddress]:
+        """The external address ``reply`` (internal stand-in -> infected
+        VM) must appear to come from, or None when no entry applies."""
+        original = self._map.get((reply.dst.value, reply.src.value))
+        if original is not None:
+            self.translations += 1
+        return original
 
     def translate_outbound_destination(self, packet: Packet) -> Optional[Packet]:
         """If ``packet`` (infected VM → external address it was told it
         reached) matches a reflection entry, rewrite the destination back
         to the internal stand-in; returns None when no entry applies."""
-        internal = self._reverse.get((packet.src, packet.dst))
-        if internal is None:
-            return None
-        self.outbound_translations += 1
-        return packet.with_destination(internal)
+        internal = self.stand_in_for(packet)
+        return None if internal is None else packet.with_destination(internal)
 
     def translate_reply_source(self, reply: Packet) -> Packet:
         """If ``reply`` (internal stand-in → infected VM) matches a
         reflection entry, rewrite its source to the original external
         address; otherwise return it unchanged."""
-        original = self._map.get((reply.dst, reply.src))
-        if original is None:
-            return reply
-        self.translations += 1
-        rewritten = Packet(
-            src=original,
-            dst=reply.dst,
-            protocol=reply.protocol,
-            src_port=reply.src_port,
-            dst_port=reply.dst_port,
-            flags=reply.flags,
-            icmp_type=reply.icmp_type,
-            payload=reply.payload,
-            size=reply.size,
-            ttl=reply.ttl,
-        )
-        return rewritten
+        original = self.origin_of(reply)
+        return reply if original is None else reply.forwarded(src=original, ttl_drop=0)
 
     def forget_vm(self, vm_ip: IPAddress) -> int:
-        """Drop all entries involving a reclaimed VM's address."""
-        doomed = [key for key in self._map if key[0] == vm_ip or key[1] == vm_ip]
+        """Drop all entries involving a reclaimed VM's address; returns
+        how many ``(vm, stand-in)`` entries went."""
+        addr = vm_ip.value
+        doomed = list(self._map_keys.get(addr, ()))
         for key in doomed:
             del self._map[key]
-        reverse_doomed = [
-            key
-            for key, internal in self._reverse.items()
-            if key[0] == vm_ip or internal == vm_ip
-        ]
-        for key in reverse_doomed:
-            del self._reverse[key]
+            _unindex(self._map_keys, key, *key)
+        for key in list(self._reverse_keys.get(addr, ())):
+            self._drop_reverse(key)
         return len(doomed)
+
+    def _drop_reverse(self, key: Tuple[int, int]) -> None:
+        internal = self._reverse.pop(key)
+        _unindex(self._reverse_keys, key, key[0], internal.value)
 
     def __len__(self) -> int:
         return len(self._map)
+
+
+def _index(index: Dict[int, Set[Tuple[int, int]]], key: Tuple[int, int], *addrs: int) -> None:
+    for addr in addrs:
+        index.setdefault(addr, set()).add(key)
+
+
+def _unindex(index: Dict[int, Set[Tuple[int, int]]], key: Tuple[int, int], *addrs: int) -> None:
+    for addr in addrs:
+        keys = index.get(addr)
+        if keys is not None:
+            keys.discard(key)
+            if not keys:
+                del index[addr]
 
 
 def make_policy(

@@ -1259,18 +1259,17 @@ class Gateway:
         self._c_vm_packets_out.increment()
 
         # Internal resolver traffic is farm infrastructure, not egress.
-        if self.dns_server is not None and packet.dst == self.dns_server.address:
+        dns = self.dns_server
+        if dns is not None and packet.dst.value == dns.address.value:
             self._deliver_dns(vm, packet, original_resolver=None)
             return
 
-        # Reverse reflection NAT: this VM was previously reflected onto an
-        # internal stand-in for packet.dst, so the whole conversation must
-        # keep routing to the stand-in. Without this, the stand-in's
-        # NAT-translated reply leaves a flow whose initiator looks
-        # external, and the VM's next packet (e.g. the exploit payload
-        # after the SYN handshake) would sail out the reply path.
-        rewritten = self.nat.translate_outbound_destination(packet)
-        if rewritten is not None:
+        # Reverse reflection NAT: once this VM was reflected onto a
+        # stand-in for packet.dst, the rest of the conversation (the
+        # exploit after the handshake) must go to the stand-in too, not
+        # out the reply path (see ReflectionNat).
+        stand_in = self.nat.stand_in_for(packet)
+        if stand_in is not None:
             self._c_out_nat_rewritten.increment()
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
@@ -1278,14 +1277,11 @@ class Gateway:
                     action="nat-rewrite", src=str(packet.src),
                     dst=str(packet.dst), vm_id=vm.vm_id,
                 )
-            # Under federation-wide reflection the recorded stand-in may
-            # live in a sibling shard's darknet.
-            if not self._route_intershard(rewritten, reply=False):
-                self.process_inbound(rewritten.decremented_ttl())
+            self._hop(packet, dst=stand_in)
             return
 
         record, created = self.flows.observe(packet, self.sim.now)
-        if not created and record.initiator != vm.ip:
+        if not created and record.initiator.value != vm.ip.value:
             self._emit_reply(vm, packet)
             return
 
@@ -1300,7 +1296,7 @@ class Gateway:
         if verdict.action is ContainmentAction.ALLOW:
             self._c_out_allowed.increment()
             if self.inventory.covers(packet.dst):
-                self.process_inbound(packet.decremented_ttl())
+                self._hop(packet)
             elif not self._route_intershard(packet, reply=False):
                 self._c_initiated_external.increment()
                 self._send_external(packet)
@@ -1316,9 +1312,7 @@ class Gateway:
             # come back through the message layer raw and are translated
             # here, mirroring the local reflection path exactly.
             self.nat.record(vm.ip, verdict.new_destination, packet.dst)
-            reflected = packet.with_destination(verdict.new_destination)
-            if not self._route_intershard(reflected, reply=False):
-                self.process_inbound(reflected.decremented_ttl())
+            self._hop(packet, dst=verdict.new_destination)
         else:  # pragma: no cover - exhaustive over the enum
             raise AssertionError(f"unhandled containment action: {verdict.action!r}")
 
@@ -1332,15 +1326,7 @@ class Gateway:
                 action="reply", src=str(packet.src), dst=str(packet.dst),
                 vm_id=vm.vm_id,
             )
-        if self.inventory.covers(packet.dst):
-            translated = self.nat.translate_reply_source(packet)
-            self.process_inbound(translated.decremented_ttl())
-        elif not self._route_intershard(packet, reply=True):
-            # Without the reply=True lane, a reply to a sibling shard's
-            # VM would sail out here as a false external escape — the
-            # PR 5 escape class, across shard boundaries.
-            self._c_reply_external.increment()
-            self._send_external(packet)
+        self._route_reply(packet)
 
     def _emit_emulated_reply(self, packet: Packet) -> None:
         """Route one emulator-tier reply exactly as a VM reply would be.
@@ -1383,20 +1369,38 @@ class Gateway:
                 assert verdict.new_destination is not None
                 self._c_out_reflected.increment()
                 self.nat.record(packet.src, verdict.new_destination, packet.dst)
-                reflected = packet.with_destination(verdict.new_destination)
-                if not self._route_intershard(reflected, reply=False):
-                    self.process_inbound(reflected.decremented_ttl())
+                self._hop(packet, dst=verdict.new_destination)
                 return
             if verdict.action is not ContainmentAction.ALLOW:
                 # DROP, or DNS redirection the emulator never initiates.
                 self._c_emulated_contained.increment()
                 return
+        self._route_reply(packet)
+
+    def _route_reply(self, packet: Packet) -> None:
+        """Route an allowed reply: NAT-translated to the farm VM it answers,
+        else to the sibling shard owning its destination, else out."""
         if self.inventory.covers(packet.dst):
-            translated = self.nat.translate_reply_source(packet)
-            self.process_inbound(translated.decremented_ttl())
+            self._hop(packet, src=self.nat.origin_of(packet))
         elif not self._route_intershard(packet, reply=True):
+            # Without the reply=True lane, a reply to a sibling shard's
+            # VM would sail out here as a false external escape.
             self._c_reply_external.increment()
             self._send_external(packet)
+
+    def _hop(
+        self, packet: Packet, src: Optional[IPAddress] = None, dst: Optional[IPAddress] = None
+    ) -> None:
+        """Forward ``packet`` one internal hop as one copy: re-addressed
+        to ``src`` (NAT-translated reply) or ``dst`` (reflection, outbound
+        NAT rewrite) when given, TTL one lower. A ``dst`` on a sibling
+        shard goes to the message layer, TTL untouched: the receiving
+        gateway decrements it."""
+        port = self.intershard
+        if dst is not None and port is not None and port.is_remote(dst):
+            self._route_intershard(packet.forwarded(dst=dst, ttl_drop=0), reply=False)
+        else:
+            self.process_inbound(packet.forwarded(src, dst))
 
     def _route_intershard(self, packet: Packet, reply: bool) -> bool:
         """Hand ``packet`` to the federation message layer when a sibling
@@ -1449,9 +1453,7 @@ class Gateway:
                 direction="in", reply=reply,
                 src=str(packet.src), dst=str(packet.dst),
             )
-        if reply:
-            packet = self.nat.translate_reply_source(packet)
-        self.process_inbound(packet.decremented_ttl())
+        self._hop(packet, src=self.nat.origin_of(packet) if reply else None)
 
     def _send_external(self, packet: Packet) -> None:
         """Ship a permitted packet toward the Internet, applying the

@@ -10,7 +10,7 @@ carried separately so byte counters and bandwidth models still work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntFlag
 from typing import Optional
 
@@ -35,6 +35,8 @@ PROTO_UDP = 17
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
+
+_PORTED_PROTOCOLS = frozenset((PROTO_TCP, PROTO_UDP))
 
 _packet_ids = itertools.count(1)
 
@@ -91,10 +93,11 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
-        if self.protocol in (PROTO_TCP, PROTO_UDP):
-            for port in (self.src_port, self.dst_port):
-                if not (0 <= port <= 65535):
-                    raise ValueError(f"port out of range: {port!r}")
+        if self.protocol in _PORTED_PROTOCOLS and not (
+            0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535
+        ):
+            port = self.dst_port if 0 <= self.src_port <= 65535 else self.src_port
+            raise ValueError(f"port out of range: {port!r}")
         if self.size < 0:
             raise ValueError(f"packet size must be non-negative: {self.size!r}")
 
@@ -123,14 +126,45 @@ class Packet:
             size=size,
         )
 
+    def forwarded(
+        self,
+        src: Optional[IPAddress] = None,
+        dst: Optional[IPAddress] = None,
+        ttl_drop: int = 1,
+    ) -> "Packet":
+        """The copy one internal hop makes: re-addressed to ``src`` and/or
+        ``dst`` when given, TTL lowered by ``ttl_drop``, every other field
+        kept. A re-addressed copy is a new packet with a fresh id; a plain
+        TTL decrement keeps the id.
+
+        One positional constructor call rather than ``dataclasses.replace``
+        (which walks ``fields()`` and passes keywords): this runs once per
+        internal hop of every reflected packet. ``__post_init__`` still
+        validates the copy.
+        """
+        readdressed = src is not None or dst is not None
+        return Packet(
+            self.src if src is None else src,
+            self.dst if dst is None else dst,
+            self.protocol,
+            self.src_port,
+            self.dst_port,
+            self.flags,
+            self.icmp_type,
+            self.payload,
+            self.size,
+            self.ttl - ttl_drop,
+            next(_packet_ids) if readdressed else self.packet_id,
+        )
+
     def with_destination(self, dst: IPAddress) -> "Packet":
         """Copy of this packet re-addressed to ``dst`` (used by the
         gateway's reflection/proxy containment actions)."""
-        return replace(self, dst=dst, packet_id=next(_packet_ids))
+        return self.forwarded(dst=dst, ttl_drop=0)
 
     def decremented_ttl(self) -> "Packet":
         """Copy with TTL reduced by one hop."""
-        return replace(self, ttl=self.ttl - 1)
+        return self.forwarded()
 
     def describe(self) -> str:
         """One-line human-readable rendering for logs and traces."""

@@ -288,7 +288,7 @@ class GuestHost:
         sequential selection makes private-page counts exact: N requested
         writes dirty exactly min(N, image size) pages. Pages go in runs
         (:meth:`GuestAddressSpace.write_run`); a page the run stops at
-        (already private, or no free frame) goes through
+        (pinned content, or no free frame) goes through
         :meth:`_write_page`, so OOM handling matches a page-by-page loop.
         """
         space = self.vm.address_space
@@ -343,7 +343,12 @@ class GuestHost:
     def _dirty_connection_pages(self, count: int) -> None:
         """Dirty ``count`` pages of connection state, cycling within the
         personality's bounded connection region (buffer/heap reuse): the
-        footprint plateaus instead of growing with every connection."""
+        footprint plateaus instead of growing with every connection.
+
+        Pages go in runs that neither wrap the region nor the address
+        space: first-touch runs on the first pass, rewrite runs after.
+        A page a run stops at (pinned content, no free frame) goes
+        through :meth:`_write_page`, as in :meth:`_dirty_pages`."""
         cap = self.personality.connection_working_set_cap_pages
         if cap == 0:
             return
@@ -352,9 +357,18 @@ class GuestHost:
             # Reserve the region right after wherever the cursor is now.
             self._conn_region_start = self._page_cursor % total
             self._page_cursor += cap
-        for __ in range(count):
-            page = (self._conn_region_start + self._conn_cursor % cap) % total
+        space = self.vm.address_space
+        while count > 0:
+            offset = self._conn_cursor % cap
+            page = (self._conn_region_start + offset) % total
+            done = space.write_run(page, min(count, cap - offset, total - page))
+            if done:
+                self._conn_cursor += done
+                count -= done
+                continue
+            # The run stopped at its first page: write that one alone.
             self._conn_cursor += 1
+            count -= 1
             if not self._write_page(page):
                 return
 

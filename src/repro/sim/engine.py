@@ -355,14 +355,15 @@ class Simulator:
         self._running = True
         executed = 0
         gc_saved = None
-        if self._streams and gc.isenabled():
-            # Stream drains allocate span bookkeeping (flow records,
-            # sessions, numpy scratch) in dense bursts; the default gen-0
-            # threshold makes the cyclic collector walk the heap thousands
-            # of times per storm for objects that are overwhelmingly still
-            # live. Trade collection frequency for batch size while the
-            # drain runs; restored on every exit path. Purely a wall-clock
-            # knob — collection points never affect simulated state.
+        if gc.isenabled():
+            # Runs allocate per-packet bookkeeping (packets, flow records,
+            # sessions, numpy scratch for stream drains) in dense bursts;
+            # the default gen-0 threshold makes the cyclic collector walk
+            # the heap hundreds to thousands of times per run for objects
+            # that are overwhelmingly still live. Trade collection
+            # frequency for batch size while the run lasts; restored on
+            # every exit path. Purely a wall-clock knob — collection
+            # points never affect simulated state.
             gc_saved = gc.get_threshold()
             gc.set_threshold(50_000, 50, 50)
         try:

@@ -53,7 +53,8 @@ least :data:`PINNED_TAG_BASE`; equal pinned tags mean equal bytes. The
 store therefore keeps table entries only for pinned content and counts
 fresh-content frames in a plain ``unique_frames`` tally, and a run of
 fresh first-touch pages (:meth:`GuestAddressSpace.write_run`) costs one
-allocation and one overlay update however long it is.
+allocation and one overlay update however long it is; a run rewriting
+fresh pages recycles their frames and allocates nothing.
 """
 
 from __future__ import annotations
@@ -613,11 +614,19 @@ class GuestAddressSpace:
         order, and return how many leading pages were written.
 
         The written pages end up exactly as ``write(page)`` one by one
-        would leave them (same tags, faults and frames), at the cost of
-        one allocation. The run stops short, raising nothing and leaving
-        the allocator untouched, at the first page that is already
-        private or that the pool has no frame for: the caller writes
-        that page with :meth:`write`, which rewrites it or raises
+        would leave them (same tags, faults, frames and recycling
+        counts). The first page fixes what kind of run this is:
+
+        * a **first-touch** run (``first`` is clean) takes one allocation
+          for all its pages and stops at the first page that is already
+          private or that the pool has no frame for;
+        * a **rewrite** run (``first`` holds fresh content) keeps every
+          page's frame, as a sole-owner rewrite does, and stops at the
+          first page that is clean or holds pinned content.
+
+        A run stops short without raising and, when it writes nothing,
+        without touching the allocator: the caller writes the page it
+        stopped at with :meth:`write`, which rewrites it or raises
         :class:`OutOfMemoryError` just as the page-by-page loop would.
         """
         self._check_alive()
@@ -627,13 +636,23 @@ class GuestAddressSpace:
         self.image._check_page(first + count - 1)
         overlay = self._overlay
         pages = range(first, first + count)
-        if not overlay.keys().isdisjoint(pages):
-            count = next(i for i, page in enumerate(pages) if page in overlay)
-        count = min(count, self.memory.free_frames)
-        if count > 0:
-            self._add_unshared_frames(count)
-            overlay.update(zip(pages, itertools.islice(_content_versions, count)))
-            self.cow_faults += count
+        if first not in overlay:
+            if not overlay.keys().isdisjoint(pages):
+                count = next(i for i, page in enumerate(pages) if page in overlay)
+            count = min(count, self.memory.free_frames)
+            if count > 0:
+                self._add_unshared_frames(count)
+                self.cow_faults += count
+        else:
+            tags = list(map(overlay.get, pages))
+            if None in tags or max(tags) >= PINNED_TAG_BASE:
+                count = next(
+                    i for i, tag in enumerate(tags) if tag is None or tag >= PINNED_TAG_BASE
+                )
+            if self._store is not None:
+                # Fresh over fresh: each page recycles its own frame.
+                self._store.frames_recycled += count
+        overlay.update(zip(pages, itertools.islice(_content_versions, count)))
         return count
 
     def _add_unshared_frames(self, frames: int) -> None:

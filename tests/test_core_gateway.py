@@ -312,3 +312,71 @@ class TestTunnelRegistration:
         assert len(received) == 1
         assert received[0].tunnel.key == 9
         assert received[0].inner.src == DARK1
+
+
+class TestReflectedConversation:
+    """One reflected conversation, hop by hop: the worm's SYN is
+    reflected onto a stand-in, the stand-in's SYN/ACK comes back
+    NAT-translated, the exploit that follows is NAT-rewritten onto the
+    stand-in, and the banner comes back translated again.
+
+    Every internal hop is one packet copy, so the expected values below
+    (recorded before the hop copy was fused) pin that fusing changed no
+    field, no TTL and no packet id.
+    """
+
+    TARGET = IPAddress.parse("203.0.113.77")
+
+    def converse(self, sim, inventory, backend):
+        sent = []
+        gw = make_gateway(sim, inventory, backend, external_sink=sent.append)
+        probe = tcp_packet(EXTERNAL, DARK1, 999, 445)
+        base = probe.packet_id
+        gw.process_inbound(probe)
+        worm = backend.spawned[-1]
+        gw.emit_from_vm(worm, tcp_packet(DARK1, self.TARGET, 1024, 80))
+        stand_in = backend.spawned[-1]
+        syn = backend.delivered[-1][1]
+        synack = syn.reply_template()
+        synack.flags = TcpFlags.SYN | TcpFlags.ACK
+        gw.emit_from_vm(stand_in, synack)
+        gw.emit_from_vm(worm, tcp_packet(
+            DARK1, self.TARGET, 1024, 80,
+            flags=TcpFlags.PSH | TcpFlags.ACK, payload="exploit:codered",
+        ))
+        exploit = backend.delivered[-1][1]
+        gw.emit_from_vm(stand_in, exploit.reply_template(payload="banner:iis"))
+        assert sent == []  # nothing escaped
+        hops = [
+            (
+                "worm" if vm is worm else "stand-in",
+                str(p.src), str(p.dst), p.src_port, p.dst_port, int(p.flags),
+                p.payload, p.size, p.ttl, p.packet_id - base,
+            )
+            for vm, p in backend.delivered
+        ]
+        flows = sorted(
+            (str(r.key), str(r.initiator), r.packets, r.bytes) for r in gw.flows
+        )
+        return gw, stand_in, hops, flows
+
+    def test_hops_flows_and_nat_counts(self, sim, inventory, backend):
+        gw, stand_in, hops, flows = self.converse(sim, inventory, backend)
+        assert str(stand_in.ip) == "10.16.0.61"
+        assert hops == [
+            ("worm", "203.0.113.50", "10.16.0.5", 999, 445, 2, "", 40, 64, 0),
+            ("stand-in", "10.16.0.5", "10.16.0.61", 1024, 80, 2, "", 40, 63, 2),
+            ("worm", "203.0.113.77", "10.16.0.5", 80, 1024, 18, "", 40, 63, 4),
+            ("stand-in", "10.16.0.5", "10.16.0.61", 1024, 80, 24,
+             "exploit:codered", 55, 63, 6),
+            ("worm", "203.0.113.77", "10.16.0.5", 80, 1024, 0,
+             "banner:iis", 40, 63, 8),
+        ]
+        assert flows == [
+            ("10.16.0.5:1024<->10.16.0.61:80/6", "10.16.0.5", 4, 175),
+            ("10.16.0.5:1024<->203.0.113.77:80/6", "10.16.0.5", 3, 120),
+            ("10.16.0.5:445<->203.0.113.50:999/6", "203.0.113.50", 1, 40),
+        ]
+        assert gw.nat.translations == 2
+        assert gw.nat.outbound_translations == 1
+        assert len(gw.nat) == 1

@@ -7,19 +7,21 @@ Covers the mechanism at three levels:
   exclusive-frame maintenance, unique fresh-content frames, the
   disjoint fresh/pinned tag ranges);
 * a hypothesis property: random interleavings of clone / write (fresh,
-  unique pinned and repeated pinned tags) / fresh page runs / destroy /
-  image release conserve the frame ledger
+  unique pinned and repeated pinned tags) / fresh page runs (first-touch
+  and rewrite) / destroy / image release conserve the frame ledger
   ``allocated == image frames + distinct private frames`` in both
-  sharing modes, with identical guest-visible reads, and a run writes
-  exactly what the page-by-page loop writes;
-* guest-level parity: a page run that hits OOM part-way ends in the
-  same state as the page-by-page loop, with and without a pressure
-  handler;
+  sharing modes, with identical guest-visible reads, and a run leaves
+  exactly what the page-by-page loop leaves;
+* guest-level parity: the base working set and the cyclic connection
+  region, written in runs that hit OOM part-way (and, for connections,
+  wrap the region and stop at a pinned page), end in the same state as
+  the page-by-page loops, with and without a pressure handler;
 * farm-level ablation: the same fixed-seed worm storm with sharing on
   must behave identically at the guest level while hitting memory
   pressure strictly later (fewer pressure events, lower peak residency).
 """
 
+import dataclasses
 import itertools
 from contextlib import contextmanager
 
@@ -276,6 +278,77 @@ class TestSharedFrameStore:
             memory.check_frame_invariant()
 
 
+class TestRewriteRuns:
+    """``write_run`` from a fresh-content first page: a rewrite run."""
+
+    def spaces(self, content_sharing):
+        """Two address spaces in twin pools, dirtied the same way: pages
+        0-5 fresh, page 3 pinned, pages 6-7 clean."""
+        twins = []
+        for __ in range(2):
+            memory = MachineMemory(64 * (1 << 20), content_sharing=content_sharing)
+            space = GuestAddressSpace(ReferenceImage(memory, page_count=16))
+            with fresh_tags_from(1):
+                space.write_run(0, 6)
+            space.write(3, content=TAG_A)
+            twins.append(space)
+        return twins
+
+    def page_by_page(self, space, first, count):
+        for page in range(first, first + count):
+            space.write(page)
+
+    def state(self, space):
+        store = space.memory.sharing
+        return (
+            dict(space.private_page_contents()),
+            space.cow_faults,
+            space.memory.allocated_frames,
+            space.memory.allocation_failures,
+            None if store is None else (store.unique_frames, store.frames_recycled),
+        )
+
+    @pytest.mark.parametrize("content_sharing", [True, False], ids=["sharing", "no-sharing"])
+    @pytest.mark.parametrize(
+        "first, count, written",
+        [(0, 3, 3), (0, 6, 3), (4, 4, 2), (5, 1, 1), (3, 2, 0)],
+        ids=["within", "stops-at-pinned", "stops-at-clean", "single", "pinned-first"],
+    )
+    def test_run_matches_page_by_page(self, content_sharing, first, count, written):
+        run_space, reference = self.spaces(content_sharing)
+        with fresh_tags_from(100):
+            assert run_space.write_run(first, count) == written
+        with fresh_tags_from(100):
+            self.page_by_page(reference, first, written)
+        assert self.state(run_space) == self.state(reference)
+        for space in (run_space, reference):
+            space.memory.check_frame_invariant()
+            if space.memory.sharing is not None:
+                space.memory.sharing.audit()
+
+    def test_rewrite_recycles_frames_without_allocating(self, memory, image):
+        a = GuestAddressSpace(image)
+        a.write_run(0, 4)
+        allocated, faults = memory.allocated_frames, a.cow_faults
+        before = [a.read(page) for page in range(4)]
+        assert a.write_run(0, 4) == 4
+        after = [a.read(page) for page in range(4)]
+        assert all(new > old for old, new in zip(before, after))
+        assert (memory.allocated_frames, a.cow_faults) == (allocated, faults)
+        assert memory.sharing.frames_recycled == 4
+        assert memory.sharing.unique_frames == 4
+        memory.sharing.audit()
+
+    def test_rewrite_needs_no_free_frame(self):
+        memory = MachineMemory(10 * PAGE_SIZE)
+        space = GuestAddressSpace(ReferenceImage(memory, page_count=6))
+        assert space.write_run(0, 4) == 4  # the pool is now full
+        assert memory.free_frames == 0
+        assert space.write_run(0, 4) == 4
+        assert space.write_run(4, 2) == 0  # a first-touch run cannot start
+        assert memory.allocation_failures == 0
+
+
 class TestTagNamespaces:
     """Fresh and pinned tags are disjoint ranges: a pinned write can
     never alias a fresh page's frame."""
@@ -356,9 +429,11 @@ def op_sequences(draw):
 class _World:
     """One (memory, image, spaces) universe to replay an op sequence in.
 
-    With ``page_by_page`` a fresh run is replayed as single writes up to
-    the first already-private page, which is what ``write_run`` promises
-    to be equivalent to; ``last_run`` records how many pages it wrote.
+    With ``page_by_page`` a fresh run is replayed as single writes, which
+    is what ``write_run`` promises to be equivalent to: from a clean
+    first page up to the first private page, from a fresh-content first
+    page up to the first clean or pinned page (a rewrite run).
+    ``last_run`` records how many pages it wrote.
     """
 
     def __init__(self, content_sharing: bool, page_by_page: bool = False) -> None:
@@ -388,9 +463,12 @@ class _World:
             if not self.page_by_page:
                 self.last_run = space.write_run(first, count)
                 return
+            rewrite = space.is_private(first)
             written = 0
             for page in range(first, first + count):
-                if space.is_private(page):
+                if space.is_private(page) != rewrite:
+                    break
+                if rewrite and space.read(page) >= PINNED_TAG_BASE:
                     break
                 space.write(page)
                 written += 1
@@ -420,6 +498,25 @@ class _World:
             self.memory.image_frames + self.memory.private_frames
         )
 
+    def state(self):
+        """Everything a run must leave exactly as the page-by-page loop."""
+        memory, store = self.memory, self.memory.sharing
+        return {
+            "overlays": {
+                key: dict(space.private_page_contents())
+                for key, space in self.spaces.items()
+            },
+            "cow_faults": {key: space.cow_faults for key, space in self.spaces.items()},
+            "reclaimable": {
+                key: space.reclaimable_frames for key, space in self.spaces.items()
+            },
+            "frames": (memory.allocated_frames, memory.peak_allocated_frames),
+            "store": None if store is None else (
+                store.unique_frames, store.total_refs, store.shared_frames,
+                store.attach_hits, store.frames_recycled,
+            ),
+        }
+
     def teardown(self) -> None:
         for space in self.spaces.values():
             space.destroy()
@@ -434,16 +531,21 @@ class TestFrameLedgerProperty:
     def test_ledger_conserved_and_reads_identical(self, ops):
         shared_world = _World(content_sharing=True)
         private_world = _World(content_sharing=False, page_by_page=True)
+        # Page-by-page twins of each: a run must leave every counter,
+        # tag and frame exactly as its single writes would.
+        shared_pages = _World(content_sharing=True, page_by_page=True)
+        private_runs = _World(content_sharing=False)
+        worlds = (shared_world, private_world, shared_pages, private_runs)
         for index, op in enumerate(ops):
-            # Each op draws its fresh tags from its own block, the same
-            # block in both worlds.
-            with fresh_tags_from(1 + index * (PAGES + 1)):
-                shared_world.apply(op)
-            with fresh_tags_from(1 + index * (PAGES + 1)):
-                private_world.apply(op)
-            assert shared_world.last_run == private_world.last_run
-            shared_world.check_ledger()
-            private_world.check_ledger()
+            for world in worlds:
+                # Each op draws its fresh tags from its own block, the
+                # same block in every world.
+                with fresh_tags_from(1 + index * (PAGES + 1)):
+                    world.apply(op)
+                world.check_ledger()
+            assert len({world.last_run for world in worlds}) == 1
+            assert shared_world.state() == shared_pages.state()
+            assert private_runs.state() == private_world.state()
             # Sharing never changes what guests observe. (The two worlds'
             # *images* carry different base version tags — they were
             # snapshotted separately — so compare dirtied state: the same
@@ -465,8 +567,8 @@ class TestFrameLedgerProperty:
                 shared_world.memory.allocated_frames
                 <= private_world.memory.allocated_frames
             )
-        shared_world.teardown()
-        private_world.teardown()
+        for world in worlds:
+            world.teardown()
         assert shared_world.memory.allocated_frames == 0
         assert private_world.memory.allocated_frames == 0
         shared_world.memory.check_frame_invariant()
@@ -590,11 +692,26 @@ def _dirty_page_by_page(guest, count):
             return
 
 
-def _oom_world(content_sharing, handler, pre_private):
+def _dirty_connection_page_by_page(guest, count):
+    """The reference: the guest's page-by-page connection-region loop."""
+    cap = guest.personality.connection_working_set_cap_pages
+    total = guest.vm.address_space.page_count
+    if guest._conn_region_start is None:
+        guest._conn_region_start = guest._page_cursor % total
+        guest._page_cursor += cap
+    for __ in range(count):
+        page = (guest._conn_region_start + guest._conn_cursor % cap) % total
+        guest._conn_cursor += 1
+        if not guest._write_page(page):
+            return
+
+
+def _oom_world(content_sharing, handler, pre_private, pinned=(), personality=None):
     """A guest whose pool has FREE_AT_START frames left; another space
     holds FILLER_PAGES frames that a pressure handler can reclaim."""
     memory = MachineMemory(
-        (IMAGE_PAGES + FILLER_PAGES + FREE_AT_START + len(pre_private)) * PAGE_SIZE,
+        (IMAGE_PAGES + FILLER_PAGES + FREE_AT_START + len(pre_private) + len(pinned))
+        * PAGE_SIZE,
         content_sharing=content_sharing,
     )
     snapshot = ReferenceSnapshot(memory, image_bytes=IMAGE_PAGES * PAGE_SIZE, disk_blocks=64)
@@ -604,6 +721,8 @@ def _oom_world(content_sharing, handler, pre_private):
     vm.start(now=0.0)
     for page in pre_private:
         vm.address_space.write(page)
+    for page in pinned:
+        vm.address_space.write(page, content=TAG_A)
     handler_calls = []
 
     def on_oom():
@@ -616,7 +735,7 @@ def _oom_world(content_sharing, handler, pre_private):
     registry = default_registry()
     guest = GuestHost(
         vm=vm,
-        personality=registry.get("windows-default"),
+        personality=personality or registry.get("windows-default"),
         catalog=registry.catalog,
         sim=Simulator(),
         rng=RandomStream(1),
@@ -630,6 +749,8 @@ def _guest_state(guest, memory, handler_calls):
     return {
         "overlay": dict(space.private_page_contents()),
         "cursor": guest._page_cursor,
+        "conn_cursor": guest._conn_cursor,
+        "recycled": None if memory.sharing is None else memory.sharing.frames_recycled,
         "dropped": guest.dropped_page_writes,
         "allocation_failures": memory.allocation_failures,
         "cow_faults": space.cow_faults,
@@ -664,3 +785,51 @@ class TestRunOomParity:
         assert reference["dropped"] == 1
         reclaimed = FILLER_PAGES if handler == "reclaim" else 0
         assert len(reference["overlay"]) == FREE_AT_START + reclaimed + len(pre_private)
+
+    CAP = 12
+
+    @pytest.mark.parametrize("content_sharing", [True, False])
+    @pytest.mark.parametrize("handler", ["reclaim", "refuse", "none"])
+    @pytest.mark.parametrize(
+        "pre_private, pinned",
+        # Offset CAP is the first page past the region: private, so a
+        # run that failed to stop at the region's end would rewrite it.
+        [((), ()), ((2, 9, CAP), (5,))],
+        ids=["clean", "pre-private-and-pinned"],
+    )
+    @pytest.mark.parametrize(
+        "region_start", [0, IMAGE_PAGES - 5], ids=["inside", "wraps-space"]
+    )
+    def test_connection_run_matches_page_by_page(
+        self, content_sharing, handler, pre_private, pinned, region_start
+    ):
+        """Connection pages cycle within their region: first-touch runs,
+        then rewrite runs, each split where the region or the address
+        space wraps and at the pinned page."""
+        personality = dataclasses.replace(
+            default_registry().get("windows-default"),
+            connection_working_set_cap_pages=self.CAP,
+        )
+        region = [(region_start + offset) % IMAGE_PAGES for offset in range(self.CAP + 1)]
+        states = []
+        for dirty in (GuestHost._dirty_connection_pages, _dirty_connection_page_by_page):
+            with fresh_tags_from(1):
+                guest, memory, calls = _oom_world(
+                    content_sharing, handler,
+                    [region[i] for i in pre_private], [region[i] for i in pinned],
+                    personality,
+                )
+                guest._page_cursor = region_start
+                # Connections of six pages (a refused write ends one, so
+                # it takes several to pass the pages OOM dropped), then
+                # enough to wrap the region twice.
+                for count in (6,) * 8 + (2 * self.CAP + 3,):
+                    dirty(guest, count)
+            states.append(_guest_state(guest, memory, calls))
+            memory.check_frame_invariant()
+            if memory.sharing is not None:
+                memory.sharing.audit()
+        run_state, reference = states
+        assert run_state == reference
+        assert reference["allocation_failures"] >= 1  # OOM part-way
+        assert reference["conn_cursor"] > self.CAP  # the region wrapped

@@ -99,8 +99,78 @@ class TestPacketTransforms:
         p = tcp_packet(SRC, DST, 1, 2)
         assert p.decremented_ttl().ttl == p.ttl - 1
 
+    def test_decremented_ttl_keeps_the_packet_id(self):
+        p = tcp_packet(SRC, DST, 1, 2)
+        assert p.decremented_ttl().packet_id == p.packet_id
+
+    def test_with_destination_keeps_the_ttl(self):
+        p = tcp_packet(SRC, DST, 1, 2)
+        assert p.with_destination(SRC).ttl == p.ttl
+
     def test_describe_formats(self):
         assert "TCP" in tcp_packet(SRC, DST, 1, 80).describe()
         assert "UDP" in udp_packet(SRC, DST, 1, 53).describe()
         assert "ICMP" in icmp_packet(SRC, DST).describe()
         assert "proto=47" in Packet(src=SRC, dst=DST, protocol=47).describe()
+
+
+HOP_FIELDS = ("protocol", "src_port", "dst_port", "flags", "icmp_type", "payload", "size")
+
+
+class TestForwardedCopy:
+    """``Packet.forwarded``: the single copy one internal hop makes."""
+
+    OTHER = IPAddress.parse("10.16.0.99")
+
+    def packet(self):
+        return tcp_packet(
+            SRC, DST, 1234, 80, flags=TcpFlags.PSH | TcpFlags.ACK, payload="exploit:x"
+        )
+
+    @pytest.mark.parametrize("readdress", [{}, {"src": OTHER}, {"dst": OTHER}])
+    def test_ttl_drops_by_exactly_one_and_other_fields_are_kept(self, readdress):
+        p = self.packet()
+        q = p.forwarded(**readdress)
+        assert q is not p
+        assert q.ttl == p.ttl - 1
+        assert q.src == readdress.get("src", p.src)
+        assert q.dst == readdress.get("dst", p.dst)
+        for name in HOP_FIELDS:
+            assert getattr(q, name) == getattr(p, name), name
+
+    def test_plain_hop_keeps_the_packet_id(self):
+        p = self.packet()
+        assert p.forwarded().packet_id == p.packet_id
+
+    @pytest.mark.parametrize("readdress", [{"src": OTHER}, {"dst": OTHER}])
+    def test_readdressed_hop_takes_the_next_fresh_id(self, readdress):
+        p = self.packet()
+        q = p.forwarded(**readdress)
+        after = self.packet()
+        assert p.packet_id < q.packet_id == after.packet_id - 1
+
+    def test_ttl_drop_zero_only_readdresses(self):
+        p = self.packet()
+        q = p.forwarded(dst=self.OTHER, ttl_drop=0)
+        assert q.ttl == p.ttl and q.dst == self.OTHER and q.packet_id != p.packet_id
+
+    def test_matches_the_two_step_copy(self):
+        p = self.packet()
+        fused = p.forwarded(dst=self.OTHER)
+        two_step = p.with_destination(self.OTHER).decremented_ttl()
+        for name in HOP_FIELDS + ("src", "dst", "ttl"):
+            assert getattr(fused, name) == getattr(two_step, name), name
+
+    def test_out_of_range_port_still_raises(self):
+        p = self.packet()
+        p.src_port = 70000
+        with pytest.raises(ValueError):
+            p.forwarded()
+        with pytest.raises(ValueError):
+            p.forwarded(dst=self.OTHER)
+
+    def test_negative_size_still_raises(self):
+        p = self.packet()
+        p.size = -1
+        with pytest.raises(ValueError):
+            p.forwarded()

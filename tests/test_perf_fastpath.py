@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.containment import make_policy
+from repro.core.containment import ReflectionNat, make_policy
 from repro.core.gateway import Gateway
 from repro.net.addr import AddressSpaceInventory, IPAddress, Prefix
 from repro.net.flow import FlowTable
@@ -455,3 +455,84 @@ class TestQueuedPacketSingleObservation:
         assert record.packets == 3
         assert record.vm_id == vm.vm_id
         assert gw.metrics.counters()["gateway.delivered"] == 3
+
+
+# --------------------------------------------------------------------- #
+# ReflectionNat: per-address index vs the full scan it replaced
+# --------------------------------------------------------------------- #
+
+
+class _ScanNat:
+    """Reference reflection NAT: tuple keys, ``forget_vm`` by full scan."""
+
+    def __init__(self):
+        self.map = {}      # (vm, stand-in) -> original
+        self.reverse = {}  # (vm, original) -> stand-in
+
+    def record(self, vm, internal, original):
+        self.map[(vm, internal)] = original
+        self.reverse[(vm, original)] = internal
+
+    def forget(self, addr):
+        doomed = [key for key in self.map if addr in key]
+        for key in doomed:
+            del self.map[key]
+        for key in [k for k, v in self.reverse.items() if k[0] == addr or v == addr]:
+            del self.reverse[key]
+        return len(doomed)
+
+
+# A handful of addresses, so roles collide: a VM that scans is also a
+# stand-in, originals repeat, and records overwrite one another.
+_NAT_ADDRS = [IPAddress.parse(f"10.0.0.{i}") for i in range(1, 6)]
+_nat_addr = st.sampled_from(_NAT_ADDRS)
+_nat_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _nat_addr, _nat_addr, _nat_addr),
+        st.tuples(st.just("forget"), _nat_addr),
+    ),
+    max_size=40,
+)
+
+
+class TestReflectionNatIndex:
+    @given(_nat_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_forget_vm_matches_full_scan(self, ops):
+        nat, ref = ReflectionNat(), _ScanNat()
+        for op in ops:
+            if op[0] == "record":
+                nat.record(*op[1:])
+                ref.record(*op[1:])
+            else:
+                assert nat.forget_vm(op[1]) == ref.forget(op[1])
+            assert len(nat) == len(ref.map)
+            for a in _NAT_ADDRS:
+                for b in _NAT_ADDRS:
+                    reply = tcp_packet(b, a, 80, 1024)
+                    assert nat.translate_reply_source(reply).src == ref.map.get((a, b), b)
+                    rewritten = nat.translate_outbound_destination(tcp_packet(a, b, 1024, 80))
+                    stand_in = None if rewritten is None else rewritten.dst
+                    assert stand_in == ref.reverse.get((a, b))
+            # The indexes name exactly the live entries, under both roles.
+            map_keys, reverse_keys = {}, {}
+            for key in nat._map:
+                for addr in key:
+                    map_keys.setdefault(addr, set()).add(key)
+            for key, stand_in in nat._reverse.items():
+                for addr in (key[0], stand_in.value):
+                    reverse_keys.setdefault(addr, set()).add(key)
+            assert nat._map_keys == map_keys
+            assert nat._reverse_keys == reverse_keys
+
+    def test_forget_touches_only_indexed_entries(self):
+        nat = ReflectionNat()
+        for i in range(1, 200):
+            nat.record(IPAddress(i), IPAddress(1000 + i), IPAddress(5000 + i))
+        assert nat.forget_vm(IPAddress(7)) == 1
+        assert nat.forget_vm(IPAddress(1008)) == 1  # in its stand-in role
+        assert nat.forget_vm(IPAddress(4000)) == 0
+        assert len(nat) == 197
+        assert set(nat._map_keys) == (
+            set(range(1, 200)) | set(range(1001, 1200))
+        ) - {7, 8, 1007, 1008}

@@ -1,7 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
+from repro.net.addr import IPAddress
+from repro.net.packet import tcp_packet
+from repro.sim.batch import PacketArrivalStream
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -247,3 +252,73 @@ class TestCompaction:
         expected_survivors.sort()
         sim.run()
         assert fired == [arg for _, _, arg in expected_survivors]
+
+
+class TestGcThresholds:
+    """``run`` raises the collector's thresholds for its duration, with or
+    without an arrival stream attached, and restores them on every exit
+    path; with the collector disabled it leaves them alone."""
+
+    OUTSIDE = (701, 11, 12)  # distinct from both the default and the run setting
+    DURING = (50_000, 50, 50)
+
+    @pytest.fixture(autouse=True)
+    def _gc_state(self):
+        saved, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(*self.OUTSIDE)
+        yield
+        gc.set_threshold(*saved)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def run(self, exit_path, with_stream):
+        """Run one simulation to ``exit_path``; returns the thresholds
+        seen by its callbacks."""
+        sim = Simulator()
+        seen = []
+
+        def probe(*_):
+            seen.append(gc.get_threshold())
+
+        def explode():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, probe)
+        sim.schedule(3.0, explode if exit_path == "raises" else probe)
+        if with_stream:
+            packet = tcp_packet(IPAddress.parse("192.0.2.1"), IPAddress.parse("10.0.0.1"), 1, 80)
+            sim.attach_stream(PacketArrivalStream(
+                sim, [0.5, 2.0], [packet, packet], deliver=probe, force_python=True,
+            ))
+        if exit_path == "raises":
+            with pytest.raises(RuntimeError):
+                sim.run()
+        elif exit_path == "until":
+            sim.run(until=2.5)
+            assert sim.now == 2.5
+        elif exit_path == "max_events":
+            sim.run(max_events=1)
+        else:
+            sim.run()
+            assert sim.pending == 0
+        assert seen
+        return seen
+
+    @pytest.mark.parametrize("with_stream", [False, True], ids=["heap", "stream"])
+    @pytest.mark.parametrize("exit_path", ["drained", "until", "max_events", "raises"])
+    def test_raised_while_running_and_restored_on_exit(self, exit_path, with_stream):
+        seen = self.run(exit_path, with_stream)
+        assert set(seen) == {self.DURING}
+        assert gc.get_threshold() == self.OUTSIDE
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("with_stream", [False, True], ids=["heap", "stream"])
+    @pytest.mark.parametrize("exit_path", ["drained", "until", "max_events", "raises"])
+    def test_left_alone_when_gc_disabled(self, exit_path, with_stream):
+        gc.disable()
+        seen = self.run(exit_path, with_stream)
+        assert set(seen) == {self.OUTSIDE}
+        assert gc.get_threshold() == self.OUTSIDE
+        assert not gc.isenabled()
